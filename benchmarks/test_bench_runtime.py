@@ -5,8 +5,8 @@ computes the *same* executions the lockstep scheduler computes (the
 equivalence lives in ``tests/test_net_runtime_properties.py``); what it
 adds is the discrete-event machinery — heap scheduling, per-edge RNG
 streams, delivery batching.  This file defends the claim that the seam
-is cheap: running E-RND at smoke scale under ``REPRO_RUNTIME=event``
-must stay within ``MAX_OVERHEAD`` of the lockstep wall-clock.
+is cheap: running E-RND at smoke scale under the event runtime must
+stay within ``MAX_OVERHEAD`` of the lockstep wall-clock.
 
 Records both legs (and the verdict) as ``results/BENCH_runtime.json``.
 """
@@ -15,9 +15,10 @@ import json
 import os
 import time
 
+from repro.context import RunContext, current, use
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.registry import run_experiment
-from repro.net.runtime import ENV_RUNTIME
+from repro.net.runtime import resolve_runtime
 
 EXPERIMENT = "E-RND"
 SCALE = 0.15
@@ -31,18 +32,12 @@ ARTIFACT = os.path.join(
 
 
 def _run_once(runtime):
-    config = ExperimentConfig(seed=SEED, scale=SCALE, runtime=runtime)
-    previous = os.environ.get(ENV_RUNTIME)
-    os.environ[ENV_RUNTIME] = runtime
-    try:
+    config = ExperimentConfig(seed=SEED, scale=SCALE)
+    context = RunContext(resolve_runtime(runtime), current().crypto_backend)
+    with use(context):
         start = time.perf_counter_ns()
         result = run_experiment(EXPERIMENT, config, jobs=1)
         elapsed = time.perf_counter_ns() - start
-    finally:
-        if previous is None:
-            os.environ.pop(ENV_RUNTIME, None)
-        else:
-            os.environ[ENV_RUNTIME] = previous
     assert result.passed, f"{EXPERIMENT} under {runtime}: {result.table}"
     return elapsed, result
 

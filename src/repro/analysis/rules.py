@@ -38,22 +38,13 @@ TIMING_ALLOWLIST: Mapping[str, str] = {
     ),
 }
 
-#: ENV001 — the runtime/parallel capture seam.  ``REPRO_*`` reads are legal
-#: only where the parallel engine can capture and replay them into pool
-#: shards, keeping ``--jobs N`` replayable:
+#: ENV001 — the run-context seam.  ``REPRO_*`` variables are legal only in
+#: the one module that turns them into a :class:`repro.context.RunContext`,
+#: which pool shards receive with every task, keeping ``--jobs N`` replayable:
 ENV_SEAM_ALLOWLIST: Mapping[str, str] = {
-    "repro.net.runtime": (
-        "capture_runtime_env/apply_runtime_env — the seam itself; shards"
-        " replay the coordinator's runtime choice"
-    ),
-    "repro.parallel.engine": "ships the captured environment with every shard task",
-    "repro.parallel.warmup": (
-        "worker warm-start replays the captured environment; the shm-table"
-        " gate only moves setup cost, never a computed value"
-    ),
-    "repro.crypto.backend": (
-        "capture_backend_env/apply_backend_env — the crypto-backend seam"
-        " itself; shards replay the coordinator's backend choice"
+    "repro.context": (
+        "RunContext.from_env — the only reader; the parallel engine ships"
+        " the resolved context to every shard"
     ),
 }
 
@@ -467,18 +458,20 @@ class RunHonorsTimeout(Rule):
 
 
 class EnvOutsideSeam(Rule):
-    """ENV001 — ``REPRO_*`` environment reads outside the capture seam.
+    """ENV001 — ``REPRO_*`` environment access outside ``repro.context``.
 
-    Pool shards replay the coordinator's environment via
-    ``repro.net.runtime.capture_runtime_env``; a ``REPRO_*`` read anywhere
-    else is invisible to that seam, so a worker under ``spawn`` can
-    resolve a different configuration than the run it is replaying.
+    Pool shards run under the coordinator's
+    :class:`repro.context.RunContext`, which ``RunContext.from_env``
+    builds from the ``REPRO_*`` variables.  A ``REPRO_*`` read anywhere
+    else bypasses the context, so a worker under ``spawn`` can resolve a
+    different configuration than the run it is replaying; a write is a
+    hidden channel the context was introduced to replace.
     """
 
     id = "ENV001"
     severity = SEVERITY_ERROR
-    title = "REPRO_* environment read outside the capture seam"
-    rationale = "shards must be able to replay the coordinator's env"
+    title = "REPRO_* environment access outside the run-context seam"
+    rationale = "shards replay the coordinator's RunContext, not its env"
 
     def _env_key(self, ctx: FileContext, call: ast.Call) -> Optional[ast.expr]:
         name = _call_name(ctx, call)
@@ -494,7 +487,7 @@ class EnvOutsideSeam(Rule):
             where: ast.AST = node
             if isinstance(node, ast.Call):
                 key = self._env_key(ctx, node)
-            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            elif isinstance(node, ast.Subscript):
                 if ctx.qualified(node.value) == "os.environ":
                     key = node.slice
                     where = node
@@ -504,8 +497,9 @@ class EnvOutsideSeam(Rule):
                 if key.value.startswith("REPRO_"):
                     yield self.finding(
                         ctx, where,
-                        f"{key.value} read outside the runtime/parallel"
-                        " capture seam — pool shards cannot replay it (see"
+                        f"{key.value} accessed outside repro.context —"
+                        " pool shards run under the shipped RunContext and"
+                        " cannot replay it (see"
                         " repro.analysis.rules.ENV_SEAM_ALLOWLIST)",
                     )
 

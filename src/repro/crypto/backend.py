@@ -16,27 +16,23 @@ e, m)) == pow(b, e, m)`` for all inputs — so switching backends can
 never move an artifact; the CI backend matrix and the diffjson gates
 hold this empirically, and ``tests/test_crypto_backend.py`` holds it
 property-by-property.  The seam is therefore *outside* the determinism
-contract (like ``REPRO_FASTPATH``) but still captured into pool shards
-(like ``REPRO_RUNTIME``) so a worker's telemetry describes the same
-configuration the coordinator ran.
+contract (like ``REPRO_FASTPATH``), but the choice is part of the
+:class:`repro.context.RunContext` that pool shards run under, so a
+worker's telemetry describes the same configuration the coordinator ran.
 
-Selection: ``resolve_backend(None)`` consults ``REPRO_CRYPTO_BACKEND``
-(``python`` | ``gmpy2`` | ``auto``), defaulting to ``auto`` — gmpy2 when
-importable, python otherwise.  ``--crypto-backend`` on the experiments
-and campaign CLIs writes the same variable so pool shards inherit it
-through :func:`capture_backend_env` / :func:`apply_backend_env`.
+Selection: ``resolve_backend(None)`` takes the current run context's
+backend (``python`` | ``gmpy2`` | ``auto``); its default comes from
+``REPRO_CRYPTO_BACKEND``, else ``auto`` — gmpy2 when importable, python
+otherwise.  ``--crypto-backend`` on the experiments and campaign CLIs
+sets it for the run.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Iterator, List, Optional
 
 from ..errors import InvalidParameterError
-
-#: The environment variable the seam reads (and the CLIs write).
-ENV_BACKEND = "REPRO_CRYPTO_BACKEND"
 
 #: Accepted spellings for the env/CLI value.
 BACKEND_CHOICES = ("auto", "python", "gmpy2")
@@ -143,20 +139,22 @@ def _build(name: str) -> CryptoBackend:
 def resolve_backend(name: Optional[str] = None) -> CryptoBackend:
     """Normalize a backend choice (explicit, env, or auto) to an instance.
 
-    ``None`` consults ``REPRO_CRYPTO_BACKEND``; ``"auto"`` (the default)
-    picks gmpy2 when importable and python otherwise — auto-detection is
-    safe because the backends are bit-identical by contract.
+    ``None`` takes the current run context's choice; ``"auto"`` picks
+    gmpy2 when importable and python otherwise — auto-detection is safe
+    because the backends are bit-identical by contract.
     """
     if name is None:
-        name = os.environ.get(ENV_BACKEND, "auto")
+        from ..context import current  # deferred: repro.context imports this module
+
+        name = current().crypto_backend
     name = str(name).strip().lower() or "auto"
     if name == "auto":
         name = "gmpy2" if gmpy2_available() else "python"
     return _build(name)
 
 
-#: The process-global active backend, resolved lazily on first use so
-#: ``apply_backend_env`` in a pool worker can still redirect it.
+#: The process-global active backend, resolved lazily on first use;
+#: :func:`repro.context.use` swaps it for a context with another backend.
 _ACTIVE: Optional[CryptoBackend] = None
 
 
@@ -165,18 +163,6 @@ def active() -> CryptoBackend:
     global _ACTIVE
     if _ACTIVE is None:
         _ACTIVE = resolve_backend()
-    return _ACTIVE
-
-
-def configure(name: Optional[str]) -> CryptoBackend:
-    """Switch the process-global backend (``None``/``"auto"`` re-detects).
-
-    Existing fixed-base tables keep their old entries — mixed ``int`` /
-    ``mpz`` arithmetic is exact either way, so a mid-run switch degrades
-    only performance, never values.
-    """
-    global _ACTIVE
-    _ACTIVE = resolve_backend(name)
     return _ACTIVE
 
 
@@ -191,26 +177,3 @@ def using(name: str) -> Iterator[CryptoBackend]:
     finally:
         _ACTIVE = previous
 
-
-# -- the pool-shard capture seam -----------------------------------------------------
-
-
-def capture_backend_env() -> Dict[str, str]:
-    """Snapshot the backend-selection environment (shard task payloads).
-
-    Mirrors :func:`repro.net.runtime.capture_runtime_env`: the parallel
-    engine ships this with every shard so workers resolve the
-    coordinator's backend even under ``spawn``.
-    """
-    if ENV_BACKEND in os.environ:
-        return {ENV_BACKEND: os.environ[ENV_BACKEND]}
-    return {}
-
-
-def apply_backend_env(env: Dict[str, str]) -> None:
-    """Install a captured backend environment and re-resolve the backend."""
-    if ENV_BACKEND in env:
-        os.environ[ENV_BACKEND] = env[ENV_BACKEND]
-    else:
-        os.environ.pop(ENV_BACKEND, None)
-    configure(None)

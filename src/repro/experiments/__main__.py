@@ -32,6 +32,54 @@ from .common import ExperimentConfig
 from .registry import REGISTRY, TITLES, run_many
 
 
+def _profiled(experiment_ids, config, out_dir):
+    """Run the batch serially under cProfile; write PROFILE.txt/.json to ``out_dir``."""
+    import cProfile
+    import io
+    import pstats
+
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        results = run_many(experiment_ids, config, jobs=1)
+    finally:
+        profiler.disable()
+        stream = io.StringIO()
+        stats = pstats.Stats(profiler, stream=stream)
+        stats.strip_dirs().sort_stats("cumulative").print_stats(40)
+        profile_path = os.path.join(out_dir, "PROFILE.txt")
+        with open(profile_path, "w", encoding="utf-8") as handle:
+            handle.write(stream.getvalue())
+        # The same top-40 as structured records, for machine consumption
+        # (dashboards, regression tooling) — mirrors the text report.
+        records = []
+        for func, (cc, nc, tottime, cumtime, _callers) in sorted(
+            stats.stats.items(), key=lambda item: item[1][3], reverse=True
+        )[:40]:
+            filename, line, name = func
+            records.append(
+                {
+                    "file": filename,
+                    "line": line,
+                    "function": name,
+                    "ncalls": nc,
+                    "primitive_calls": cc,
+                    "tottime": round(tottime, 6),
+                    "cumtime": round(cumtime, 6),
+                }
+            )
+        profile_json_path = os.path.join(out_dir, "PROFILE.json")
+        with open(profile_json_path, "w", encoding="utf-8") as handle:
+            json.dump(
+                {"sort": "cumulative", "top": 40, "functions": records},
+                handle,
+                indent=2,
+            )
+            handle.write("\n")
+        print(f"profile written to {profile_path} and {profile_json_path}")
+    return results
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -151,33 +199,19 @@ def main(argv=None) -> int:
         except ScenarioError as exc:
             parser.error(f"--faults {args.faults!r}: {exc}")
 
+    from ..context import RunContext, current, use
     from ..errors import InvalidParameterError
-    from ..net.runtime import ENV_DELAY_MODEL, ENV_OMISSION, ENV_RUNTIME, resolve_runtime
+    from ..net.runtime import resolve_runtime
 
+    # The run context is resolved here, once: protocol executions take
+    # their runtime from it and the parallel engine ships it to pool shards.
     try:
-        runtime_config = resolve_runtime(args.runtime, args.delay_model, args.omission)
+        run_context = RunContext(
+            runtime=resolve_runtime(args.runtime, args.delay_model, args.omission),
+            crypto_backend=args.crypto_backend or current().crypto_backend,
+        )
     except InvalidParameterError as exc:
         parser.error(str(exc))
-    # Apply the choice through the environment: run_protocol consults it at
-    # every call site, and the parallel engine ships it to pool shards.
-    if args.runtime is not None:
-        os.environ[ENV_RUNTIME] = args.runtime
-    if args.delay_model is not None:
-        os.environ[ENV_DELAY_MODEL] = args.delay_model
-    if args.omission is not None:
-        os.environ[ENV_OMISSION] = args.omission
-
-    if args.crypto_backend is not None:
-        # Same seam as --runtime: write the environment variable so the
-        # kernels resolve it lazily and the parallel engine ships it to
-        # pool shards, then fail fast if the choice is unavailable.
-        from ..crypto import backend as crypto_backend
-
-        os.environ[crypto_backend.ENV_BACKEND] = args.crypto_backend
-        try:
-            crypto_backend.configure(None)
-        except InvalidParameterError as exc:
-            parser.error(str(exc))
 
     config = ExperimentConfig(
         n=args.n,
@@ -185,59 +219,16 @@ def main(argv=None) -> int:
         seed=args.seed,
         scale=args.scale,
         fault_plan=fault_plan,
-        runtime=runtime_config.kind,
     )
     experiment_ids = args.experiments or list(REGISTRY)
-    if args.profile:
-        import cProfile
-        import io
-        import pstats
-
-        if jobs != 1:
-            print("--profile forces --jobs 1 (cProfile sees one process)")
-            jobs = 1
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
+    if args.profile and jobs != 1:
+        print("--profile forces --jobs 1 (cProfile sees one process)")
+        jobs = 1
+    with use(run_context):
+        if args.profile:
+            results = _profiled(experiment_ids, config, args.json or os.curdir)
+        else:
             results = run_many(experiment_ids, config, jobs=jobs)
-        finally:
-            profiler.disable()
-            stream = io.StringIO()
-            stats = pstats.Stats(profiler, stream=stream)
-            stats.strip_dirs().sort_stats("cumulative").print_stats(40)
-            out_dir = args.json or os.curdir
-            profile_path = os.path.join(out_dir, "PROFILE.txt")
-            with open(profile_path, "w", encoding="utf-8") as handle:
-                handle.write(stream.getvalue())
-            # The same top-40 as structured records, for machine consumption
-            # (dashboards, regression tooling) — mirrors the text report.
-            records = []
-            for func, (cc, nc, tottime, cumtime, _callers) in sorted(
-                stats.stats.items(), key=lambda item: item[1][3], reverse=True
-            )[:40]:
-                filename, line, name = func
-                records.append(
-                    {
-                        "file": filename,
-                        "line": line,
-                        "function": name,
-                        "ncalls": nc,
-                        "primitive_calls": cc,
-                        "tottime": round(tottime, 6),
-                        "cumtime": round(cumtime, 6),
-                    }
-                )
-            profile_json_path = os.path.join(out_dir, "PROFILE.json")
-            with open(profile_json_path, "w", encoding="utf-8") as handle:
-                json.dump(
-                    {"sort": "cumulative", "top": 40, "functions": records},
-                    handle,
-                    indent=2,
-                )
-                handle.write("\n")
-            print(f"profile written to {profile_path} and {profile_json_path}")
-    else:
-        results = run_many(experiment_ids, config, jobs=jobs)
 
     failures = 0
     for result in results:

@@ -10,6 +10,8 @@ measurements (``metrics.wall_seconds``), which are the only
 non-deterministic values an experiment records.  Any other divergence —
 a missing artifact, a different table, a drifted counter — is a
 determinism regression in :mod:`repro.parallel` and fails the build.
+:func:`equal` and :func:`describe_diff` are also the comparator behind
+:func:`repro.obs.baseline.compare`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import json
 import math
 import os
 import sys
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 #: Result fields that legitimately differ between runs (wall-clock only).
 #: ``wall_ms_per_run`` is E-ABL's per-variant timing table — measured cost,
@@ -37,7 +39,7 @@ def strip_wall_clock(result: Dict[str, Any]) -> Dict[str, Any]:
     return stripped
 
 
-def _equal(a: Any, b: Any) -> bool:
+def equal(a: Any, b: Any) -> bool:
     """Deep equality treating NaN as equal to itself.
 
     Inconclusive estimators record ``NaN`` gap estimates, which survive
@@ -47,30 +49,35 @@ def _equal(a: Any, b: Any) -> bool:
     if isinstance(a, float) and isinstance(b, float):
         return a == b or (math.isnan(a) and math.isnan(b))
     if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(_equal(a[key], b[key]) for key in a)
+        return a.keys() == b.keys() and all(equal(a[key], b[key]) for key in a)
     if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(_equal(x, y) for x, y in zip(a, b, strict=True))
+        return len(a) == len(b) and all(equal(x, y) for x, y in zip(a, b, strict=True))
     return a == b
 
 
-def _describe_diff(path: str, a: Any, b: Any, diffs: List[str]) -> None:
-    """Record the first point of divergence under ``path`` (recursively)."""
+def describe_diff(
+    path: str, a: Any, b: Any, diffs: List[str], names: Tuple[str, str] = ("first", "second")
+) -> None:
+    """Record every point of divergence under ``path`` (recursively).
+
+    ``names`` labels the two sides in "only in ..." entries.
+    """
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
             if key not in a:
-                diffs.append(f"{path}.{key}: only in second")
+                diffs.append(f"{path}.{key}: only in {names[1]}")
             elif key not in b:
-                diffs.append(f"{path}.{key}: only in first")
-            elif not _equal(a[key], b[key]):
-                _describe_diff(f"{path}.{key}", a[key], b[key], diffs)
+                diffs.append(f"{path}.{key}: only in {names[0]}")
+            elif not equal(a[key], b[key]):
+                describe_diff(f"{path}.{key}", a[key], b[key], diffs, names)
         return
     if isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             diffs.append(f"{path}: list lengths {len(a)} != {len(b)}")
             return
         for index, (x, y) in enumerate(zip(a, b, strict=True)):
-            if not _equal(x, y):
-                _describe_diff(f"{path}[{index}]", x, y, diffs)
+            if not equal(x, y):
+                describe_diff(f"{path}[{index}]", x, y, diffs, names)
         return
     diffs.append(f"{path}: {a!r} != {b!r}")
 
@@ -92,8 +99,8 @@ def compare_dirs(serial_dir: str, parallel_dir: str) -> List[str]:
             first = strip_wall_clock(json.load(handle))
         with open(os.path.join(parallel_dir, name), encoding="utf-8") as handle:
             second = strip_wall_clock(json.load(handle))
-        if not _equal(first, second):
-            _describe_diff(name, first, second, diffs)
+        if not equal(first, second):
+            describe_diff(name, first, second, diffs)
     return diffs
 
 

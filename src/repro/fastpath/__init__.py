@@ -43,8 +43,6 @@ from .kernels import (  # noqa: F401  (re-exported kernel API)
     cached_table_keys,
     clear_caches,
     ensure_table,
-    export_tables,
-    install_table,
     lagrange_cache_get,
     lagrange_cache_put,
     multi_pow,
@@ -53,7 +51,7 @@ from .kernels import (  # noqa: F401  (re-exported kernel API)
     vss_expected,
 )
 
-# Import-time process switch, outside the shard capture seam by design: the
+# Import-time process switch, outside the run context by design: the
 # kernels are bit-identical to the naive path, so a worker resolving a
 # different value cannot move any artifact (diffjson gates this in CI).
 _ENABLED = os.environ.get("REPRO_FASTPATH", "1").strip().lower() not in ("0", "false", "off")  # repro: allow[ENV001]

@@ -80,38 +80,6 @@ def clear_caches() -> None:
     _LAGRANGE.clear()
 
 
-def install_table(p: int, base: int, rows: Sequence[Sequence[int]]) -> bool:
-    """Adopt a prebuilt fixed-base table (shared-memory warm start).
-
-    Rows come as plain ``int`` lists (the portable export format) and are
-    wrapped into the active backend's native type on the way in.  Returns
-    ``False`` without touching anything when the table is already
-    resident or the cache is full — a fork-inherited table wins over a
-    replayed one.
-    """
-    key = (p, base % p)
-    if key in _TABLES or len(_TABLES) >= MAX_TABLES:
-        return False
-    wrap = _backend.active().wrap
-    _TABLES[key] = [[wrap(value) for value in row] for row in rows]
-    _USE_COUNTS.pop(key, None)
-    STATS.inc("fastpath.table.installs")
-    return True
-
-
-def export_tables() -> Dict[Tuple[int, int], List[List[int]]]:
-    """Every resident table as plain ``int`` rows (the portable format).
-
-    The inverse of :func:`install_table`: backend-native entries (gmpy2
-    ``mpz``) are unwrapped so the payload pickles small and installs
-    under *any* backend.
-    """
-    return {
-        key: [[int(value) for value in row] for row in rows]
-        for key, rows in _TABLES.items()
-    }
-
-
 def cache_sizes() -> Dict[str, int]:
     return {
         "tables": len(_TABLES),

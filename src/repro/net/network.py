@@ -71,9 +71,10 @@ def run_protocol(
             ``"lockstep"`` (the paper's synchronous rounds, the default),
             ``"event"`` (the deterministic discrete-event clock), or a
             resolved :class:`repro.net.runtime.RuntimeConfig`.  ``None``
-            consults the ``REPRO_RUNTIME`` environment variable, which is
-            how the CI runtime matrix re-runs every test under both
-            engines.
+            takes the current :class:`repro.context.RunContext`, whose
+            default comes from the ``REPRO_RUNTIME`` environment variable;
+            that is how the CI runtime matrix re-runs every test under
+            both engines.
         delay_model: event-runtime message timing — a
             :class:`repro.net.runtime.DelayModel` or a spec string such as
             ``"uniform:0.5,1.5"``; defaults to ``RushDelay(ConstantDelay(1))``,

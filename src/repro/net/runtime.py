@@ -25,26 +25,21 @@ equivalence the property suite in ``tests/test_net_runtime_properties.py``
 pins down.
 
 Selection: :func:`run_protocol` takes ``runtime=``/``delay_model=``/
-``omission=`` keywords; with no explicit choice the ``REPRO_RUNTIME``,
-``REPRO_DELAY_MODEL`` and ``REPRO_OMISSION`` environment variables are
-consulted (this is how the CI runtime matrix re-runs the whole tier-1
-suite under both engines), defaulting to lockstep.
+``omission=`` keywords; with no explicit choice the current
+:class:`repro.context.RunContext` decides (its default comes from the
+``REPRO_RUNTIME``, ``REPRO_DELAY_MODEL`` and ``REPRO_OMISSION``
+environment variables, which is how the CI runtime matrix re-runs the
+whole tier-1 suite under both engines), defaulting to lockstep.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import InvalidParameterError
-
-#: Environment variables consulted when no explicit runtime is passed.
-ENV_RUNTIME = "REPRO_RUNTIME"
-ENV_DELAY_MODEL = "REPRO_DELAY_MODEL"
-ENV_OMISSION = "REPRO_OMISSION"
 
 #: The runtime registry: kind -> (module, scheduler class name).
 RUNTIMES: Dict[str, Tuple[str, str]] = {
@@ -67,10 +62,30 @@ def _mix_edge_seed(seed: int, sender: int, recipient: int) -> int:
     return value
 
 
+class _SpecValue:
+    """Value semantics through ``spec()``: a model equals any same-spec copy.
+
+    Models travel to pool workers inside a :class:`repro.context.RunContext`,
+    so a pickled copy must compare equal to the coordinator's original.
+    """
+
+    def spec(self) -> Dict[str, Any]:
+        raise NotImplementedError
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.spec()!r})"
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and other.spec() == self.spec()
+
+    def __hash__(self) -> int:
+        return hash(repr(self))
+
+
 # -- delay models -------------------------------------------------------------------
 
 
-class DelayModel:
+class DelayModel(_SpecValue):
     """Per-edge message latency policy for the event runtime.
 
     ``edge_delay`` draws one latency (in abstract ticks — never wall
@@ -89,9 +104,6 @@ class DelayModel:
 
     def spec(self) -> Dict[str, Any]:
         return {"model": self.name}
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.spec()!r})"
 
 
 class ConstantDelay(DelayModel):
@@ -214,7 +226,7 @@ def delay_model_from_spec(spec: Any) -> Optional[DelayModel]:
 # -- omission policies --------------------------------------------------------------
 
 
-class OmissionPolicy:
+class OmissionPolicy(_SpecValue):
     """Which scheduled deliveries are silently lost in the event runtime."""
 
     name = "abstract"
@@ -224,9 +236,6 @@ class OmissionPolicy:
 
     def spec(self) -> Dict[str, Any]:
         return {"policy": self.name}
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.spec()!r})"
 
 
 class NoOmission(OmissionPolicy):
@@ -407,30 +416,6 @@ class RuntimeConfig:
         return out
 
 
-def capture_runtime_env() -> Dict[str, str]:
-    """Snapshot the runtime-selection environment variables.
-
-    The parallel engine captures this at ``map()`` submission and ships
-    it with every shard task, so workers resolve the *coordinator's*
-    runtime even under the ``spawn`` start method (where a worker's
-    environment is whatever the OS hands a fresh interpreter).
-    """
-    return {
-        key: os.environ[key]
-        for key in (ENV_RUNTIME, ENV_DELAY_MODEL, ENV_OMISSION)
-        if key in os.environ
-    }
-
-
-def apply_runtime_env(env: Dict[str, str]) -> None:
-    """Install a captured runtime environment in a worker process."""
-    for key in (ENV_RUNTIME, ENV_DELAY_MODEL, ENV_OMISSION):
-        if key in env:
-            os.environ[key] = env[key]
-        else:
-            os.environ.pop(key, None)
-
-
 def resolve_runtime(
     runtime: Any = None,
     delay_model: Any = None,
@@ -440,29 +425,32 @@ def resolve_runtime(
     """Normalize the caller's runtime choice into a :class:`RuntimeConfig`.
 
     ``runtime`` may be a :class:`RuntimeConfig` (returned as-is), a kind
-    string, or ``None`` — in which case ``REPRO_RUNTIME`` (and, for the
-    event runtime, ``REPRO_DELAY_MODEL`` / ``REPRO_OMISSION``) decide,
-    defaulting to lockstep.  Explicit ``delay_model`` / ``omission``
-    arguments require the event runtime: the lockstep engine's timing is
+    string, or ``None`` — in which case the current
+    :class:`repro.context.RunContext` decides the kind and, for the event
+    runtime, the defaults of the other knobs.  Explicit ``delay_model`` /
+    ``omission`` arguments require the event runtime: the lockstep engine's timing is
     fixed by the paper's model, and silently ignoring a requested delay
     distribution would misreport what was simulated.
     """
     if isinstance(runtime, RuntimeConfig):
         return runtime
-    from_env = runtime is None
-    kind = (runtime if runtime is not None else os.environ.get(ENV_RUNTIME, "lockstep"))
-    kind = str(kind).strip().lower() or "lockstep"
+    ambient: Optional[RuntimeConfig] = None
+    if runtime is None:
+        from ..context import current  # deferred: repro.context imports this module
+
+        ambient = current().runtime
+        runtime = ambient.kind
+    kind = str(runtime).strip().lower() or "lockstep"
     if kind not in RUNTIMES:
         raise InvalidParameterError(
             f"unknown runtime {kind!r}; known: {sorted(RUNTIMES)}"
         )
     model = delay_model_from_spec(delay_model)
     policy = omission_from_spec(omission)
-    if kind == "event" and from_env:
-        if model is None:
-            model = delay_model_from_spec(os.environ.get(ENV_DELAY_MODEL))
-        if policy is None:
-            policy = omission_from_spec(os.environ.get(ENV_OMISSION))
+    if kind == "event" and ambient is not None:
+        model = ambient.delay_model if model is None else model
+        policy = ambient.omission if policy is None else policy
+        max_events = ambient.max_events if max_events is None else max_events
     if kind != "event" and (model is not None or policy is not None or max_events is not None):
         raise InvalidParameterError(
             "delay_model/omission/max_events require runtime='event'; "

@@ -184,12 +184,6 @@ class Comparison:
         return "\n".join(lines)
 
 
-def _equal(a: Any, b: Any) -> bool:
-    from ..experiments.diffjson import _equal as diff_equal
-
-    return diff_equal(a, b)
-
-
 def compare(
     baseline: Dict[str, Any],
     fresh: Dict[str, Dict[str, Any]],
@@ -199,10 +193,12 @@ def compare(
     """Diff fresh canonical snapshots against a baseline document.
 
     ``fresh`` maps experiment id -> :func:`canonical_snapshot`.  Counter
-    and histogram surfaces must match exactly (NaN-tolerant deep
-    equality, like ``diffjson``); each timing must satisfy
+    and histogram surfaces must match exactly, compared by ``diffjson``'s
+    NaN-tolerant structural differ; each timing must satisfy
     ``base / tol <= fresh <= base * tol``.
     """
+    from ..experiments.diffjson import describe_diff
+
     if timing_tolerance < 1.0:
         raise ValueError(f"timing tolerance must be >= 1.0, got {timing_tolerance}")
     report = Comparison(strict_timings=strict_timings)
@@ -221,21 +217,13 @@ def compare(
                 f"{experiment_id}: passed {base.get('passed')} -> {new.get('passed')}"
             )
         for surface in ("counters", "histograms"):
-            base_surface = base.get(surface) or {}
-            new_surface = new.get(surface) or {}
-            for name in sorted(set(base_surface) | set(new_surface)):
-                if name not in new_surface:
-                    report.drifts.append(f"{experiment_id}: {surface}.{name} vanished")
-                elif name not in base_surface:
-                    report.drifts.append(
-                        f"{experiment_id}: {surface}.{name} is new "
-                        "(regenerate the baseline to adopt it)"
-                    )
-                elif not _equal(base_surface[name], new_surface[name]):
-                    report.drifts.append(
-                        f"{experiment_id}: {surface}.{name} "
-                        f"{base_surface[name]!r} -> {new_surface[name]!r}"
-                    )
+            describe_diff(
+                f"{experiment_id}: {surface}",
+                base.get(surface) or {},
+                new.get(surface) or {},
+                report.drifts,
+                names=("the baseline", "the fresh run"),
+            )
         base_timings = base.get("timings") or {}
         new_timings = new.get("timings") or {}
         for name in sorted(set(base_timings) & set(new_timings)):

@@ -27,12 +27,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .. import fastpath
-from ..crypto.backend import apply_backend_env, capture_backend_env
-from ..net.runtime import apply_runtime_env, capture_runtime_env
+from ..context import RunContext, current, use
 from ..obs import Metrics, Tracer, flightrec as _flightrec
 from ..obs import runtime as _obs_runtime
-from . import shm, warmup
+from . import warmup
 
 
 def default_jobs() -> int:
@@ -62,20 +60,19 @@ class ShardOutcome:
 
 
 def _run_shard(
-    task: Tuple[Callable[..., Any], Tuple[Any, ...], bool, bool, Dict[str, str]]
+    task: Tuple[Callable[..., Any], Tuple[Any, ...], bool, bool, RunContext]
 ) -> ShardOutcome:
-    """Worker entry point: run one task under a fresh observation scope."""
-    fn, args, trace, flight, shard_env = task
-    # Shards must resolve the same network runtime and crypto backend the
-    # coordinator would: explicit under fork, essential under spawn (fresh
-    # environment).  The backend is outside the determinism contract but
-    # inside the telemetry contract — a worker must describe the same
-    # configuration the coordinator ran.
-    apply_runtime_env(shard_env)
-    apply_backend_env(shard_env)
+    """Worker entry point: run one task under the coordinator's run context
+    and a fresh observation scope."""
+    fn, args, trace, flight, context = task
+    # The shipped context fixes the network runtime and crypto backend the
+    # coordinator would use: explicit under fork, essential under spawn.
+    # The backend is outside the determinism contract but inside the
+    # telemetry contract — a worker must describe the configuration the
+    # coordinator ran.
     tracer = Tracer() if trace else None
     flight_records: List[Dict[str, Any]] = []
-    with _obs_runtime.observed(tracer=tracer, metrics=Metrics()) as (_, metrics):
+    with use(context), _obs_runtime.observed(tracer=tracer, metrics=Metrics()) as (_, metrics):
         if flight:
             # The coordinator's recorder is on: give this shard its own
             # ring (a fork child would otherwise append to an inherited
@@ -94,16 +91,6 @@ def _run_shard(
     )
 
 
-def _warm_worker(payload: Any) -> None:
-    """Pool initializer: replay the coordinator's warm parameter caches.
-
-    Under ``fork`` (the Linux default) the child already inherited the
-    caches and this is a cheap no-op replay; under ``spawn`` it saves each
-    worker from re-deriving safe primes and fixed-base tables from scratch.
-    """
-    warmup.apply_warm_state(payload)
-
-
 class ExperimentEngine:
     """Maps task functions over argument tuples, inline or across processes.
 
@@ -120,22 +107,13 @@ class ExperimentEngine:
     def __init__(self, jobs: Any = None):
         self.jobs = normalize_jobs(jobs)
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._shm_tables: Optional[shm.PublishedTables] = None
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            payload = warmup.export_warm_state()
-            if warmup.shm_tables_enabled():
-                # Ship table *contents* once via shared memory so workers
-                # attach instead of rebuilding; the payload's key list
-                # stays as the rebuild fallback.
-                self._shm_tables = shm.publish_tables(fastpath.export_tables())
-                if self._shm_tables is not None:
-                    payload["shm_tables"] = self._shm_tables.descriptor()
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
-                initializer=_warm_worker,
-                initargs=(payload,),
+                initializer=warmup.apply_warm_state,
+                initargs=(warmup.export_warm_state(),),
             )
         return self._pool
 
@@ -144,8 +122,6 @@ class ExperimentEngine:
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
-        published, self._shm_tables = self._shm_tables, None
-        shm.release_tables(published)
 
     def __enter__(self) -> "ExperimentEngine":
         return self
@@ -170,10 +146,8 @@ class ExperimentEngine:
 
         trace = _obs_runtime.tracer.enabled
         flight = _obs_runtime.flightrec is not None
-        shard_env = {**capture_runtime_env(), **capture_backend_env()}
-        shard_tasks = [
-            (fn, tuple(args), trace, flight, shard_env) for args in tasks
-        ]
+        context = current()
+        shard_tasks = [(fn, tuple(args), trace, flight, context) for args in tasks]
         outcomes = list(self._ensure_pool().map(_run_shard, shard_tasks))
 
         ambient = _obs_runtime.metrics

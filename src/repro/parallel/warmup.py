@@ -14,9 +14,9 @@ warm state explicit and portable:
 
 On Linux the default ``fork`` start method means children inherit the
 coordinator's caches for free — prewarming the parent *before* the pool
-is created is the whole trick.  The exported payload plus the pool
-initializer (:func:`repro.parallel.engine._warm_worker`) covers ``spawn``
-platforms, where inheritance does not happen.
+is created is the whole trick.  The exported payload, replayed by every
+pool worker with :func:`apply_warm_state` as the pool initializer, covers
+``spawn`` platforms, where inheritance does not happen.
 
 Warm state is strictly a cache fill: every entry is derived
 deterministically from the security level, so a warm worker computes
@@ -26,28 +26,11 @@ the same entries on first use).
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, Iterable, List
 
 from .. import fastpath
 from ..crypto import group as _group
 from ..crypto.commitment import PedersenParameters
-from . import shm
-
-#: Gate for the shared-memory table transport (default on).  Off, the
-#: warm payload falls back to shipping table keys that workers rebuild.
-ENV_SHM_TABLES = "REPRO_SHM_TABLES"
-
-
-def shm_tables_enabled() -> bool:
-    """Whether warm tables ride to pool workers via shared memory.
-
-    Outside the determinism contract by construction: the shm payload
-    carries the exact rows a worker would rebuild, so this flag can only
-    move setup cost, never a computed value.
-    """
-    raw = os.environ.get(ENV_SHM_TABLES, "1")  # repro: allow[ENV001]
-    return raw.strip().lower() not in ("0", "false", "off")
 
 
 def security_levels_for(config: Any) -> List[int]:
@@ -104,13 +87,7 @@ def apply_warm_state(payload: Any) -> None:
     if not payload:
         return
     _group.seed_safe_primes(payload.get("safe_primes", ()))
-    descriptor = payload.get("shm_tables")
-    if descriptor is not None and shm_tables_enabled():
-        tables = shm.attach_tables(descriptor)
-        if tables:
-            for (p, base), rows in tables.items():
-                fastpath.install_table(p, base, rows)
-    # Rebuild path: a no-op for tables already resident (fork-inherited
-    # or shm-installed), the full build when the shm leg was unavailable.
+    # A no-op for tables already resident (fork-inherited), the full
+    # build under other start methods.
     for p, base in payload.get("tables", ()):
         fastpath.ensure_table(p, (p - 1) // 2, base)

@@ -25,8 +25,10 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
-from ..errors import ScenarioError
+from ..context import current, use
+from ..errors import InvalidParameterError, ScenarioError
 from .campaign import (
     DEFAULT_BATCH,
     DEFAULT_OUT_DIR,
@@ -197,15 +199,12 @@ def _cmd_run(argv) -> int:
         parser.error(f"--budget must be >= 1, got {args.budget}")
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.crypto_backend is not None:
-        from ..crypto import backend as crypto_backend
-        from ..errors import InvalidParameterError
-
-        os.environ[crypto_backend.ENV_BACKEND] = args.crypto_backend
-        try:
-            crypto_backend.configure(None)
-        except InvalidParameterError as exc:
-            parser.error(str(exc))
+    try:
+        run_context = current()
+        if args.crypto_backend is not None:
+            run_context = replace(run_context, crypto_backend=args.crypto_backend)
+    except InvalidParameterError as exc:
+        parser.error(str(exc))
 
     campaign = Campaign(
         seed=args.seed,
@@ -217,7 +216,8 @@ def _cmd_run(argv) -> int:
         shrink_limit=args.shrink_limit,
     )
     log = None if args.quiet else (lambda message: print(message, flush=True))
-    report = campaign.run(resume=not args.fresh, log=log)
+    with use(run_context):
+        report = campaign.run(resume=not args.fresh, log=log)
 
     totals = report["totals"]
     print(

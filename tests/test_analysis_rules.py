@@ -318,9 +318,21 @@ class TestENV001EnvOutsideSeam:
 
             runtime = os.environ.get("REPRO_RUNTIME")
             """,
-            module="repro.net.runtime",
+            module="repro.context",
         )
         assert findings == []
+
+    def test_bad_subscript_write(self):
+        findings = run_rule(
+            "ENV001",
+            """
+            import os
+
+            os.environ["REPRO_RUNTIME"] = "event"
+            """,
+            module="repro.net.runtime",
+        )
+        assert rule_ids(findings) == ["ENV001"]
 
     def test_good_non_repro_key(self):
         findings = run_rule(

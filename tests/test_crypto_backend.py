@@ -1,17 +1,15 @@
-"""Tests for the crypto backend seam, RLC batch kernels, and shm tables.
+"""Tests for the crypto backend seam and the RLC batch kernels.
 
-Three layers of the PR-10 perf work, each with its own contract:
+Two layers, each with its own contract:
 
-* :mod:`repro.crypto.backend` — backend resolution (env / explicit /
-  auto), the pool-shard capture seam, and the bit-identical equivalence
-  of every backend on adversarial inputs (hypothesis-driven; the gmpy2
-  leg auto-skips when the accelerator is not installed);
+* :mod:`repro.crypto.backend` — backend resolution (run context /
+  explicit / auto) and the bit-identical equivalence of every backend on
+  adversarial inputs (hypothesis-driven; the gmpy2 leg auto-skips when
+  the accelerator is not installed);
 * :mod:`repro.fastpath.batch` — combiner determinism and the soundness
   property the batch verifiers rest on: a single corrupted item in a
   batch of m is rejected, and the public ``verify_batch`` /
-  ``verify_shares`` wrappers return exactly the per-item verdict lists;
-* :mod:`repro.parallel.shm` — publish/attach/release round trip for the
-  shared-memory warm-table export.
+  ``verify_shares`` wrappers return exactly the per-item verdict lists.
 """
 
 import random
@@ -21,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import fastpath
+from repro.context import ENV_BACKEND, RunContext, use
 from repro.crypto import backend
 from repro.crypto.commitment import PedersenCommitment, PedersenParameters
 from repro.crypto.group import SchnorrGroup
@@ -33,7 +32,6 @@ from repro.fastpath import (
     pedersen_batch_verify,
     pedersen_vss_batch_verify,
 )
-from repro.parallel import shm
 
 needs_gmpy2 = pytest.mark.skipif(
     not backend.gmpy2_available(), reason="gmpy2 not installed"
@@ -57,10 +55,13 @@ class TestResolution:
         assert backend.resolve_backend("auto").name == expected
 
     def test_none_consults_the_environment(self, monkeypatch):
-        monkeypatch.setenv(backend.ENV_BACKEND, "python")
-        assert backend.resolve_backend(None).name == "python"
-        monkeypatch.delenv(backend.ENV_BACKEND)
-        assert backend.resolve_backend(None).name in backend.available_backends()
+        monkeypatch.setenv(ENV_BACKEND, "python")
+        with use(RunContext.from_env()):
+            assert backend.resolve_backend(None).name == "python"
+            assert backend.active().name == "python"
+        monkeypatch.delenv(ENV_BACKEND)
+        with use(RunContext.from_env()):
+            assert backend.resolve_backend(None).name in backend.available_backends()
 
     def test_unknown_name_raises(self):
         with pytest.raises(InvalidParameterError):
@@ -78,29 +79,6 @@ class TestResolution:
             assert active.name == "python"
             assert backend.active() is active
         assert backend.active().name == before
-
-
-class TestCaptureSeam:
-    def test_round_trip(self, monkeypatch):
-        monkeypatch.setenv(backend.ENV_BACKEND, "python")
-        captured = backend.capture_backend_env()
-        assert captured == {backend.ENV_BACKEND: "python"}
-        monkeypatch.delenv(backend.ENV_BACKEND)
-        backend.apply_backend_env(captured)
-        assert backend.active().name == "python"
-
-    def test_empty_capture_pops_and_redetects(self, monkeypatch):
-        monkeypatch.setenv(backend.ENV_BACKEND, "python")
-        backend.apply_backend_env({})
-        assert backend.ENV_BACKEND not in __import__("os").environ
-        assert backend.active().name in backend.available_backends()
-
-    def test_unknown_keys_are_ignored(self, monkeypatch):
-        monkeypatch.delenv(backend.ENV_BACKEND, raising=False)
-        backend.apply_backend_env(
-            {"REPRO_RUNTIME": "event", backend.ENV_BACKEND: "python"}
-        )
-        assert backend.active().name == "python"
 
 
 # -- cross-backend equivalence -------------------------------------------------------
@@ -388,52 +366,3 @@ class TestBatchedVerdictEquivalence:
         pairs = [scheme.commit(rng.randrange(group.q), rng) for _ in range(6)]
         with fastpath.disabled():
             assert scheme.verify_batch(pairs) == [True] * 6
-
-
-# -- shared-memory warm tables -------------------------------------------------------
-
-
-class TestShmTables:
-    def _sample_tables(self):
-        group = SchnorrGroup.for_security(48)
-        fastpath.clear_caches()
-        fastpath.ensure_table(group.p, group.q, group.generator.value)
-        tables = fastpath.export_tables()
-        assert tables
-        return tables
-
-    def test_publish_attach_round_trip(self):
-        tables = self._sample_tables()
-        published = shm.publish_tables(tables)
-        if published is None:
-            pytest.skip("shared memory unavailable on this platform")
-        try:
-            attached = shm.attach_tables(published.descriptor())
-            assert attached == tables
-        finally:
-            shm.release_tables(published)
-
-    def test_release_is_idempotent_and_unlinks(self):
-        published = shm.publish_tables(self._sample_tables())
-        if published is None:
-            pytest.skip("shared memory unavailable on this platform")
-        descriptor = published.descriptor()
-        shm.release_tables(published)
-        shm.release_tables(published)
-        assert shm.attach_tables(descriptor) is None
-
-    def test_attach_garbage_descriptor_returns_none(self):
-        assert shm.attach_tables({"name": "repro-nonexistent", "size": 64}) is None
-        assert shm.attach_tables({}) is None
-
-    def test_empty_tables_not_published(self):
-        assert shm.publish_tables({}) is None
-
-    def test_install_round_trip_rebuilds_nothing(self):
-        tables = self._sample_tables()
-        before = fastpath.stats().get("fastpath.table.builds", 0)
-        fastpath.clear_caches()
-        for (p, base), rows in tables.items():
-            assert fastpath.install_table(p, base, rows)
-        assert fastpath.export_tables() == tables
-        assert fastpath.stats().get("fastpath.table.builds", 0) == before

@@ -4,7 +4,7 @@ import json
 import math
 import os
 
-from repro.experiments.diffjson import _equal, compare_dirs, main, strip_wall_clock
+from repro.experiments.diffjson import compare_dirs, equal, main, strip_wall_clock
 
 
 def write_artifact(directory, name, payload):
@@ -23,19 +23,19 @@ RESULT = {
 
 class TestEqual:
     def test_nan_equals_nan(self):
-        assert _equal(float("nan"), float("nan"))
-        assert _equal({"gap": float("nan")}, {"gap": float("nan")})
-        assert _equal([float("nan"), 1.0], [float("nan"), 1.0])
+        assert equal(float("nan"), float("nan"))
+        assert equal({"gap": float("nan")}, {"gap": float("nan")})
+        assert equal([float("nan"), 1.0], [float("nan"), 1.0])
 
     def test_nan_not_equal_to_number(self):
-        assert not _equal(float("nan"), 0.0)
-        assert not _equal(0.0, float("nan"))
+        assert not equal(float("nan"), 0.0)
+        assert not equal(0.0, float("nan"))
 
     def test_plain_values(self):
-        assert _equal(1, 1.0)
-        assert not _equal({"a": 1}, {"a": 2})
-        assert not _equal({"a": 1}, {"b": 1})
-        assert not _equal([1], [1, 2])
+        assert equal(1, 1.0)
+        assert not equal({"a": 1}, {"a": 2})
+        assert not equal({"a": 1}, {"b": 1})
+        assert not equal([1], [1, 2])
 
 
 class TestCompareDirs:

@@ -1,6 +1,6 @@
 """Tests for the pluggable network runtime (repro.net.runtime / .event).
 
-Covers the seam itself (selection, env vars, validation), the delay and
+Covers the seam itself (selection, run context, validation), the delay and
 omission model vocabulary, the deterministic :class:`EventClock`, the
 event scheduler's progress guards, and — the load-bearing part — the
 regression pinning the paper's rushing-attack verdicts when the rushing
@@ -10,6 +10,7 @@ adversary is re-derived as the :class:`RushDelay` delay-model point.
 import pytest
 
 from repro.adversaries import CommitEchoAdversary, SequentialCopier
+from repro.context import RunContext, use
 from repro.errors import InvalidParameterError, NetworkError
 from repro.net import run_protocol
 from repro.net.event import EventScheduler, IDLE_BATCH_LIMIT
@@ -26,8 +27,6 @@ from repro.net.runtime import (
     RushDelay,
     RuntimeConfig,
     UniformDelay,
-    apply_runtime_env,
-    capture_runtime_env,
     delay_model_from_spec,
     omission_from_spec,
     resolve_runtime,
@@ -38,11 +37,11 @@ from repro.protocols import GennaroBroadcast, NaiveCommitReveal, SequentialBroad
 
 
 @pytest.fixture(autouse=True)
-def _clean_runtime_env(monkeypatch):
+def _default_run_context():
     """This file tests explicit runtime selection; the CI runtime matrix
-    exports REPRO_RUNTIME globally, so neutralize it here."""
-    for key in ("REPRO_RUNTIME", "REPRO_DELAY_MODEL", "REPRO_OMISSION"):
-        monkeypatch.delenv(key, raising=False)
+    exports REPRO_RUNTIME globally, so run under the default context."""
+    with use(RunContext()):
+        yield
 
 
 class EchoProtocol:
@@ -236,14 +235,17 @@ class TestResolveRuntime:
         monkeypatch.setenv("REPRO_RUNTIME", "event")
         monkeypatch.setenv("REPRO_DELAY_MODEL", "uniform:0.5,1.5")
         monkeypatch.setenv("REPRO_OMISSION", "drop-all:2")
-        config = resolve_runtime()
+        with use(RunContext.from_env()):
+            config = resolve_runtime()
         assert config.kind == "event"
         assert isinstance(config.delay_model, UniformDelay)
         assert isinstance(config.omission, DropAll)
 
     def test_explicit_argument_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_RUNTIME", "event")
-        assert resolve_runtime("lockstep").kind == "lockstep"
+        with use(RunContext.from_env()):
+            assert resolve_runtime().kind == "event"
+            assert resolve_runtime("lockstep").kind == "lockstep"
 
     def test_config_passthrough(self):
         config = RuntimeConfig(kind="event", delay_model=ConstantDelay(2.0))
@@ -265,16 +267,6 @@ class TestResolveRuntime:
     def test_unknown_runtime_rejected(self):
         with pytest.raises(InvalidParameterError):
             resolve_runtime("quantum")
-
-    def test_env_capture_roundtrip(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNTIME", "event")
-        monkeypatch.delenv("REPRO_DELAY_MODEL", raising=False)
-        captured = capture_runtime_env()
-        assert captured == {"REPRO_RUNTIME": "event"}
-        monkeypatch.setenv("REPRO_RUNTIME", "lockstep")
-        monkeypatch.setenv("REPRO_DELAY_MODEL", "uniform:0.5,1.5")
-        apply_runtime_env(captured)
-        assert capture_runtime_env() == {"REPRO_RUNTIME": "event"}
 
 
 # -- the event scheduler ------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.context import RunContext, use
 from repro.net import run_protocol
 from repro.net.runtime import (
     ConstantDelay,
@@ -31,18 +32,12 @@ from repro.protocols import (
 )
 
 @pytest.fixture(autouse=True, scope="module")
-def _clean_runtime_env():
+def _default_run_context():
     """The lockstep legs below must really be lockstep, even when the CI
     runtime matrix exports REPRO_RUNTIME=event globally.  Module-scoped
     (hypothesis forbids function-scoped fixtures under @given)."""
-    import os
-
-    keys = ("REPRO_RUNTIME", "REPRO_DELAY_MODEL", "REPRO_OMISSION")
-    saved = {key: os.environ.pop(key, None) for key in keys}
-    yield
-    for key, value in saved.items():
-        if value is not None:
-            os.environ[key] = value
+    with use(RunContext()):
+        yield
 
 
 N, T = 4, 1
