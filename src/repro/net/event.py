@@ -1,298 +1,21 @@
-"""The deterministic discrete-event runtime (``runtime="event"``).
+"""The ``runtime="event"`` label.
 
-Where the lockstep :class:`~repro.net.scheduler.Scheduler` advances all
-parties one synchronous round at a time, this engine advances a seeded
-:class:`~repro.net.runtime.EventClock`: every sent message becomes a
-delivery event on its ``(sender, recipient)`` edge at ``now + delay``,
-with the delay drawn from the edge's private RNG stream according to the
-configured :class:`~repro.net.runtime.DelayModel`.  Deliveries landing at
-the same instant form one *event batch*; each batch every unfinished
-honest party is resumed with whatever arrived for it (possibly nothing),
-so synchronous protocols written against the round API keep progressing
-while asynchronous ones (Bracha RBC) react to messages as they land.
-
-Determinism: no wall time is ever read, delay draws come from per-edge
-streams derived from the execution seed, and simultaneous events pop in
-schedule order — so the full transcript is a pure function of
-``(seed, delay model, omission policy)`` and replays are bit-identical.
-
-The adversary model carries over: the adversary acts once per batch, and
-the delay model decides its information.  Under
-:class:`~repro.net.runtime.RushDelay` honest→corrupted edges deliver
-inside the sending batch (the paper's rushing advantage); under any other
-model the adversary only sees traffic when the clock delivers it.  With
-the default ``RushDelay(ConstantDelay(1))`` this engine reproduces the
-lockstep scheduler's executions exactly — transcripts, outputs, and
-metrics — which ``tests/test_net_runtime_properties.py`` pins down.
-
-Progress guards generalize the lockstep round guards to event counts:
-
-* ``timeout_rounds`` bounds the number of batches (graceful finalize);
-* ``max_events`` bounds total deliveries (:class:`NetworkError` + flight
-  dump), catching delay models that generate unbounded traffic;
-* a drained queue with no new traffic can never make progress, so the
-  run finalizes (or raises, when no timeout output is configured)
-  immediately instead of spinning silent batches until ``max_rounds``.
+There is one scheduling loop, :class:`repro.net.scheduler.Scheduler`,
+and it always runs on the discrete-event clock.  ``runtime="lockstep"``
+fixes its timing to the paper's model (``RushDelay(ConstantDelay(1))``,
+no omission); ``runtime="event"`` lets the caller choose the delay
+model, omission policy and delivery budget.  At the default timing both
+labels compute the same execution.  This subclass exists only so that
+:attr:`repro.net.transcript.Execution.runtime` reports which label was
+asked for.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
-
-from ..errors import NetworkError, ProtocolError
-from ..obs import flightrec as _flightrec
-from ..obs import runtime as _obs
-from .message import Inbox, Message, RoundRecord
-from .runtime import DelayModel, EventClock, OmissionPolicy, RushDelay
 from .scheduler import Scheduler
-from .transcript import Execution
-
-#: Hard ceiling on processed delivery events (the event-count analogue of
-#: ``max_rounds``); generous — a smoke-scale run is a few thousand events.
-DEFAULT_MAX_EVENTS = 1_000_000
-
-#: Consecutive all-silent batches on an empty queue tolerated before the
-#: run is declared stuck.  Small round-counting idles (padding rounds in
-#: lockstep compositions) survive; an unbounded wait cannot.
-IDLE_BATCH_LIMIT = 8
 
 
 class EventScheduler(Scheduler):
-    """Drives one protocol execution on the discrete-event clock."""
+    """The one loop under the ``"event"`` label."""
 
     runtime_name = "event"
-
-    def __init__(
-        self,
-        *args: Any,
-        delay_model: Optional[DelayModel] = None,
-        omission: Optional[OmissionPolicy] = None,
-        max_events: Optional[int] = None,
-        **kwargs: Any,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        self.delay_model = delay_model if delay_model is not None else RushDelay()
-        self.omission = omission
-        self.max_events = max_events if max_events is not None else DEFAULT_MAX_EVENTS
-        # Drawn after the shared party/adversary derivation so the clock
-        # stream is seeded deterministically without perturbing any draw
-        # the lockstep engine would make.
-        self._clock_seed = self.rng.getrandbits(64)
-
-    # -- the event loop --------------------------------------------------------
-
-    def _run_rounds(self) -> Execution:  # the runtime seam's entry point
-        metrics = _obs.metrics
-        model = self.delay_model
-        omission = self.omission
-        corrupted = self.adversary.corrupted
-        clock = EventClock(self._clock_seed)
-        rounds: List[RoundRecord] = []
-
-        batch_number = 0
-        started = False
-        timed_out = False
-        events_processed = 0
-        idle_batches = 0
-        while True:
-            batch_number += 1
-            if self.timeout_rounds is not None and batch_number > self.timeout_rounds:
-                timed_out = True
-                self._note_timeout(batch_number)
-                break
-            if batch_number > self.max_rounds:
-                raise NetworkError(
-                    f"protocol did not terminate within {self.max_rounds} event batches"
-                )
-
-            # 1. Deliveries: pop every event at the next occupied instant.
-            arrivals_for_corrupted: Dict[int, List[Message]] = {
-                i: [] for i in corrupted
-            }
-            queue_drained = False
-            if started:
-                step = clock.advance()
-                if step is None:
-                    # Nothing in flight: give round-counting programs one
-                    # silent tick — but a protocol that stays silent on a
-                    # drained queue is stuck, and is cut off below.
-                    queue_drained = True
-                    clock.tick()
-                    inboxes: Dict[int, List[Message]] = {}
-                else:
-                    _, deliveries = step
-                    events_processed += len(deliveries)
-                    if events_processed > self.max_events:
-                        self._dump_stall(
-                            "event-budget", batch_number, events_processed
-                        )
-                        raise NetworkError(
-                            f"event runtime processed more than {self.max_events}"
-                            f" deliveries without terminating"
-                        )
-                    inboxes = {}
-                    for recipient, message in deliveries:
-                        inboxes.setdefault(recipient, []).append(message)
-                    for i in corrupted:
-                        if i in inboxes:
-                            arrivals_for_corrupted[i] = inboxes.pop(i)
-                if metrics is not None:
-                    metrics.inc("net.event.batches")
-
-            # 2. Honest parties speak (everyone unfinished gets an inbox,
-            #    empty or not — synchronous programs keep their cadence).
-            honest_traffic: List[Message] = []
-            for i in self.honest_ids:
-                state = self._honest[i]
-                if state.finished:
-                    continue
-                if not started:
-                    drafts = state.start()
-                else:
-                    drafts = state.resume(Inbox(inboxes.get(i, [])))
-                honest_traffic.extend(draft.stamped(i) for draft in drafts)
-
-            # 2b. Faults strike honest traffic before the adversary sees it,
-            #     exactly as in lockstep (batch index plays the round role).
-            if self.fault_injector is not None:
-                honest_traffic = self.fault_injector.apply(
-                    batch_number, honest_traffic
-                )
-
-            # 3. The adversary acts on what the delay model lets it see:
-            #    deliveries that just landed, plus — on rushed edges — this
-            #    very batch's honest traffic.
-            rushed: Dict[int, Inbox] = {}
-            for i in corrupted:
-                view = list(arrivals_for_corrupted[i])
-                for message in honest_traffic:
-                    if message.addressed_to(i) and model.rushes(
-                        message.sender, i, corrupted
-                    ):
-                        if omission is not None and omission.omits(
-                            message.sender, i, message, clock.edge_rng(message.sender, i)
-                        ):
-                            self._note_omission(batch_number, message, i)
-                            continue
-                        view.append(message)
-                rushed[i] = Inbox(view)
-
-            corrupted_outboxes = self.adversary.act(batch_number, rushed)
-            corrupted_traffic = self._collect_corrupted_traffic(corrupted_outboxes)
-
-            traffic = honest_traffic + corrupted_traffic
-            self.adversary.observe(batch_number, traffic)
-            rounds.append(RoundRecord(round=batch_number, messages=traffic))
-            started = True
-
-            self._observe_round(
-                batch_number,
-                traffic,
-                honest_traffic,
-                corrupted_traffic,
-                time=clock.now,
-                events=events_processed,
-            )
-
-            # 4. Schedule every message edge on the clock.
-            delivered = 0
-            for message in traffic:
-                if message.is_broadcast:
-                    recipients = range(1, self.n + 1)
-                elif not 1 <= message.recipient <= self.n:
-                    raise ProtocolError(
-                        f"message to unknown party {message.recipient}"
-                    )
-                else:
-                    recipients = (message.recipient,)
-                for recipient in recipients:
-                    if model.rushes(message.sender, recipient, corrupted):
-                        # Already shown to the adversary inside this batch.
-                        delivered += 1
-                        continue
-                    edge_rng = clock.edge_rng(message.sender, recipient)
-                    if omission is not None and omission.omits(
-                        message.sender, recipient, message, edge_rng
-                    ):
-                        self._note_omission(batch_number, message, recipient)
-                        continue
-                    delay = model.edge_delay(message.sender, recipient, edge_rng)
-                    clock.schedule(delay, (recipient, message))
-                    delivered += 1
-            if metrics is not None:
-                metrics.inc("net.messages.delivered", delivered)
-
-            if all(state.finished for state in self._honest.values()):
-                break
-
-            # 5. Progress guard: a drained queue plus a silent batch means
-            #    no event can ever fire again — finalize or fail now
-            #    instead of spinning to max_rounds.
-            if queue_drained and not traffic:
-                idle_batches += 1
-                if idle_batches >= IDLE_BATCH_LIMIT and clock.empty:
-                    self._dump_stall("queue-drained", batch_number, events_processed)
-                    if self.timeout_rounds is not None:
-                        timed_out = True
-                        self._note_timeout(batch_number)
-                        break
-                    raise NetworkError(
-                        "event queue drained with "
-                        f"{sum(1 for s in self._honest.values() if not s.finished)}"
-                        " honest parties still running and no traffic in"
-                        f" {IDLE_BATCH_LIMIT} batches"
-                    )
-            else:
-                idle_batches = 0
-
-        if metrics is not None and len(clock):
-            metrics.inc("net.event.undelivered", len(clock))
-        return self._finalize(rounds, timed_out)
-
-    # -- bookkeeping -----------------------------------------------------------
-
-    def _note_omission(self, batch_number: int, message: Message, recipient: int) -> None:
-        metrics = _obs.metrics
-        if metrics is not None:
-            metrics.inc("net.messages.omitted")
-        tracer = _obs.tracer
-        if tracer.enabled:
-            tracer.event(
-                "net.omission",
-                batch=batch_number,
-                sender=message.sender,
-                recipient=recipient,
-                tag=message.tag,
-            )
-        flight = _obs.flightrec
-        if flight is not None:
-            flight.push(
-                "omission",
-                batch=batch_number,
-                session=self.session,
-                sender=message.sender,
-                recipient=recipient,
-                tag=message.tag,
-            )
-
-    def _dump_stall(self, reason: str, batch_number: int, events: int) -> None:
-        """Snapshot the flight recorder before a stuck run raises/finalizes."""
-        unfinished = [i for i, s in self._honest.items() if not s.finished]
-        flight = _obs.flightrec
-        if flight is not None:
-            flight.push(
-                "scheduler.stall",
-                reason=reason,
-                batch=batch_number,
-                events=events,
-                session=self.session,
-                unfinished=unfinished,
-            )
-        _flightrec.dump_if_active(
-            f"event-{reason}",
-            session=self.session,
-            batch=batch_number,
-            events=events,
-            delay_model=self.delay_model.spec(),
-            unfinished=unfinished,
-        )

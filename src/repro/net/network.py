@@ -9,8 +9,9 @@ from typing import Any, Optional, Sequence
 from ..obs import flightrec as _flightrec
 from ..obs import runtime as _obs
 from .adversary import Adversary
-from .runtime import resolve_runtime, scheduler_class
-from .scheduler import DEFAULT_MAX_ROUNDS
+from .event import EventScheduler
+from .runtime import resolve_runtime
+from .scheduler import DEFAULT_MAX_ROUNDS, Scheduler
 from .transcript import Execution
 
 logger = logging.getLogger(__name__)
@@ -67,18 +68,20 @@ def run_protocol(
             of aborting the run with :class:`NetworkError`.
         timeout_output: the degraded output (a value, or a callable of the
             party id); protocols pass the paper's default bit vector.
-        runtime: which :mod:`repro.net.runtime` engine drives the run —
-            ``"lockstep"`` (the paper's synchronous rounds, the default),
-            ``"event"`` (the deterministic discrete-event clock), or a
-            resolved :class:`repro.net.runtime.RuntimeConfig`.  ``None``
-            takes the current :class:`repro.context.RunContext`, whose
-            default comes from the ``REPRO_RUNTIME`` environment variable;
-            that is how the CI runtime matrix re-runs every test under
-            both engines.
+        runtime: how the run's timing is chosen — ``"lockstep"`` (the
+            paper's synchronous rounds, fixed; the default), ``"event"``
+            (the same loop with the timing below), or a resolved
+            :class:`repro.net.runtime.RuntimeConfig`.  Both labels run
+            the one event-clock loop of :class:`repro.net.scheduler.Scheduler`
+            and are recorded on :attr:`Execution.runtime`.  ``None`` takes
+            the current :class:`repro.context.RunContext`, whose default
+            comes from the ``REPRO_RUNTIME`` environment variable; that is
+            how the CI runtime matrix re-runs every test under both labels.
         delay_model: event-runtime message timing — a
             :class:`repro.net.runtime.DelayModel` or a spec string such as
             ``"uniform:0.5,1.5"``; defaults to ``RushDelay(ConstantDelay(1))``,
-            which makes the event engine reproduce lockstep exactly.
+            the paper's timing, at which both labels compute the same
+            execution.
         omission: event-runtime loss policy (an
             :class:`repro.net.runtime.OmissionPolicy` or spec string such
             as ``"drop-all:1"``).
@@ -127,7 +130,8 @@ def run_protocol(
         salt = fault_seed if fault_seed is not None else rng.getrandbits(64)
         injector = FaultInjector(fault_plan, salt=salt)
     config = protocol.setup(rng)
-    scheduler_kwargs = dict(
+    scheduler_type = EventScheduler if runtime_config.kind == "event" else Scheduler
+    scheduler = scheduler_type(
         n=protocol.n,
         program_factory=protocol.program,
         inputs=inputs,
@@ -140,14 +144,10 @@ def run_protocol(
         fault_injector=injector,
         timeout_rounds=timeout_rounds,
         timeout_output=timeout_output,
+        delay_model=runtime_config.resolved_delay_model(),
+        omission=runtime_config.omission,
+        max_events=runtime_config.max_events,
     )
-    if runtime_config.kind == "event":
-        scheduler_kwargs.update(
-            delay_model=runtime_config.resolved_delay_model(),
-            omission=runtime_config.omission,
-            max_events=runtime_config.max_events,
-        )
-    scheduler = scheduler_class(runtime_config.kind)(**scheduler_kwargs)
     try:
         return scheduler.run()
     except Exception as exc:

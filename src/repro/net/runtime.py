@@ -1,35 +1,33 @@
-"""The pluggable network-runtime seam (ROADMAP item 1).
+"""Message timing for the one scheduling loop (the runtime seam).
 
-Every protocol execution is driven by a *runtime*: a scheduler class plus
-a message-timing policy.  Two runtimes exist:
-
-* ``"lockstep"`` — the original synchronous round engine of
-  :mod:`repro.net.scheduler`, unchanged and bit-identical to the seed
-  implementation.  One round of latency on every channel, rushing
-  delivery to corrupted parties.
-* ``"event"`` — the deterministic discrete-event engine of
-  :mod:`repro.net.event`.  Message latencies are drawn per channel edge
-  from a seeded :class:`EventClock` stream according to a
-  :class:`DelayModel`; deliveries may be reordered, dropped by an
-  :class:`OmissionPolicy`, and batched by arrival time.  No wall time is
-  ever read, so a run is an exact function of ``(seed, delay model,
-  omission policy)`` and replays are bit-identical.
+Every protocol execution runs :class:`repro.net.scheduler.Scheduler`'s
+loop on a deterministic :class:`EventClock`.  What varies is the timing:
+a :class:`DelayModel` gives each message edge its latency, drawn from
+the edge's seeded stream, and an optional :class:`OmissionPolicy` loses
+deliveries.  No wall time is ever read, so a run is an exact function
+of ``(seed, delay model, omission policy)`` and replays are
+bit-identical.
 
 The paper's rushing adversary is *one point* in this delay-model space:
 :class:`RushDelay` gives honest→corrupted edges zero latency (the
-adversary hears the current batch's honest traffic before corrupted
-parties speak) and every other edge the base model's latency.  With
-``RushDelay(ConstantDelay(1))`` — the event runtime's default — the
-event engine degenerates to exactly the lockstep semantics, which is the
-equivalence the property suite in ``tests/test_net_runtime_properties.py``
-pins down.
+adversary hears the current round's honest traffic before corrupted
+parties speak) and every other edge the base model's latency.
+``RushDelay(ConstantDelay(1))`` with no omission is Section 3.1's
+synchronous rounds, and the default.
+
+Two runtime labels select timing:
+
+* ``"lockstep"`` — the paper's timing, fixed: delay-model, omission and
+  event-budget overrides are rejected rather than silently ignored;
+* ``"event"`` — the same loop with the caller's timing; at the default
+  timing it computes the lockstep execution exactly.
 
 Selection: :func:`run_protocol` takes ``runtime=``/``delay_model=``/
 ``omission=`` keywords; with no explicit choice the current
 :class:`repro.context.RunContext` decides (its default comes from the
 ``REPRO_RUNTIME``, ``REPRO_DELAY_MODEL`` and ``REPRO_OMISSION``
 environment variables, which is how the CI runtime matrix re-runs the
-whole tier-1 suite under both engines), defaulting to lockstep.
+whole tier-1 suite under both labels), defaulting to lockstep.
 """
 
 from __future__ import annotations
@@ -40,12 +38,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import InvalidParameterError
-
-#: The runtime registry: kind -> (module, scheduler class name).
-RUNTIMES: Dict[str, Tuple[str, str]] = {
-    "lockstep": ("repro.net.scheduler", "Scheduler"),
-    "event": ("repro.net.event", "EventScheduler"),
-}
 
 #: Smallest latency a non-rushed edge may have: delivery strictly after
 #: the sending batch, so a pathological model cannot stall the clock.
@@ -86,15 +78,20 @@ class _SpecValue:
 
 
 class DelayModel(_SpecValue):
-    """Per-edge message latency policy for the event runtime.
+    """Per-edge message latency policy.
 
     ``edge_delay`` draws one latency (in abstract ticks — never wall
-    time) from the edge's seeded stream; ``rushes`` marks edges that
-    deliver *instantly within the sending batch*, which is how the
-    paper's rushing advantage is expressed as a timing policy.
+    time) from the edge's seeded stream; ``rushes`` marks edges into
+    corrupted parties that deliver *instantly within the sending round*,
+    which is how the paper's rushing advantage is expressed as a timing
+    policy.
     """
 
     name = "abstract"
+
+    #: The latency of every edge when it is one constant that draws
+    #: nothing; ``None`` when it is drawn per edge.
+    fixed_delay: Optional[float] = None
 
     def edge_delay(self, sender: int, recipient: int, rng: random.Random) -> float:
         raise NotImplementedError
@@ -115,6 +112,7 @@ class ConstantDelay(DelayModel):
         if ticks <= 0:
             raise InvalidParameterError("constant delay must be positive")
         self.ticks = float(ticks)
+        self.fixed_delay = self.ticks
 
     def edge_delay(self, sender: int, recipient: int, rng: random.Random) -> float:
         return self.ticks
@@ -167,14 +165,15 @@ class RushDelay(DelayModel):
     sending batch, before the adversary chooses corrupted messages);
     every other edge — honest→honest, corrupted→anyone — pays the base
     model's latency, i.e. the adversary's own edges deliver last.  With a
-    :class:`ConstantDelay` base this reproduces the lockstep scheduler's
-    Section 3.1 semantics exactly.
+    :class:`ConstantDelay` base this is the paper's Section 3.1
+    synchronous round with a rushing adversary.
     """
 
     name = "rush"
 
     def __init__(self, base: Optional[DelayModel] = None) -> None:
         self.base = base if base is not None else ConstantDelay(1.0)
+        self.fixed_delay = self.base.fixed_delay
 
     def edge_delay(self, sender: int, recipient: int, rng: random.Random) -> float:
         return self.base.edge_delay(sender, recipient, rng)
@@ -227,7 +226,7 @@ def delay_model_from_spec(spec: Any) -> Optional[DelayModel]:
 
 
 class OmissionPolicy(_SpecValue):
-    """Which scheduled deliveries are silently lost in the event runtime."""
+    """Which scheduled deliveries are silently lost."""
 
     name = "abstract"
 
@@ -328,21 +327,22 @@ def omission_from_spec(spec: Any) -> Optional[OmissionPolicy]:
 class EventClock:
     """A discrete-event clock with seeded per-edge randomness and no wall time.
 
-    Events are ordered by ``(time, insertion sequence)`` — the sequence
-    number makes simultaneous deliveries pop in schedule order, so the
+    Events are ordered by ``(time, insertion sequence)``: the clock keeps
+    one list of items per arrival instant plus a heap of the distinct
+    instants, so simultaneous deliveries pop in schedule order and the
     whole event history is a pure function of the clock seed and the
     schedule calls.  Each directed channel edge ``(sender, recipient)``
     owns an independent RNG stream derived from the clock seed, so one
     edge's delay draws can never perturb another's.
     """
 
-    __slots__ = ("seed", "now", "_heap", "_sequence", "_edge_rngs")
+    __slots__ = ("seed", "now", "_instants", "_pending", "_edge_rngs")
 
     def __init__(self, seed: Optional[int] = None) -> None:
         self.seed = int(seed or 0)
         self.now = 0.0
-        self._heap: List[Tuple[float, int, Any]] = []
-        self._sequence = 0
+        self._instants: List[float] = []
+        self._pending: Dict[float, List[Any]] = {}
         self._edge_rngs: Dict[Tuple[int, int], random.Random] = {}
 
     def edge_rng(self, sender: int, recipient: int) -> random.Random:
@@ -356,20 +356,24 @@ class EventClock:
 
     def schedule(self, delay: float, item: Any) -> float:
         """Enqueue ``item`` for ``now + delay``; returns the arrival time."""
-        arrival = self.now + max(float(delay), MIN_EDGE_DELAY)
-        heapq.heappush(self._heap, (arrival, self._sequence, item))
-        self._sequence += 1
+        arrival = self.now + (delay if delay > MIN_EDGE_DELAY else MIN_EDGE_DELAY)
+        items = self._pending.get(arrival)
+        if items is None:
+            self._pending[arrival] = [item]
+            heapq.heappush(self._instants, arrival)
+        else:
+            items.append(item)
         return arrival
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return sum(len(items) for items in self._pending.values())
 
     @property
     def empty(self) -> bool:
-        return not self._heap
+        return not self._instants
 
     def tick(self, ticks: float = 1.0) -> float:
-        """Advance time with no deliveries (a silent batch)."""
+        """Advance time with no deliveries (a silent round)."""
         self.now += ticks
         return self.now
 
@@ -379,14 +383,11 @@ class EventClock:
         Returns ``(time, items)`` in schedule order, or ``None`` when the
         queue is empty.
         """
-        if not self._heap:
+        if not self._instants:
             return None
-        time, _, item = heapq.heappop(self._heap)
-        batch = [item]
-        while self._heap and self._heap[0][0] == time:
-            batch.append(heapq.heappop(self._heap)[2])
+        time = heapq.heappop(self._instants)
         self.now = time
-        return time, batch
+        return time, self._pending.pop(time)
 
 
 # -- runtime selection --------------------------------------------------------------
@@ -402,7 +403,7 @@ class RuntimeConfig:
     max_events: Optional[int] = None
 
     def resolved_delay_model(self) -> DelayModel:
-        """The event runtime's default timing: the paper's rushing round."""
+        """The timing to run: the paper's rushing round unless overridden."""
         return self.delay_model if self.delay_model is not None else RushDelay()
 
     def spec(self) -> Dict[str, Any]:
@@ -428,9 +429,10 @@ def resolve_runtime(
     string, or ``None`` — in which case the current
     :class:`repro.context.RunContext` decides the kind and, for the event
     runtime, the defaults of the other knobs.  Explicit ``delay_model`` /
-    ``omission`` arguments require the event runtime: the lockstep engine's timing is
-    fixed by the paper's model, and silently ignoring a requested delay
-    distribution would misreport what was simulated.
+    ``omission`` / ``max_events`` arguments require the event label: the
+    lockstep label's timing is fixed by the paper's model, and silently
+    ignoring a requested delay distribution would misreport what was
+    simulated.
     """
     if isinstance(runtime, RuntimeConfig):
         return runtime
@@ -441,9 +443,9 @@ def resolve_runtime(
         ambient = current().runtime
         runtime = ambient.kind
     kind = str(runtime).strip().lower() or "lockstep"
-    if kind not in RUNTIMES:
+    if kind not in ("lockstep", "event"):
         raise InvalidParameterError(
-            f"unknown runtime {kind!r}; known: {sorted(RUNTIMES)}"
+            f"unknown runtime {kind!r}; known: ['event', 'lockstep']"
         )
     model = delay_model_from_spec(delay_model)
     policy = omission_from_spec(omission)
@@ -458,15 +460,3 @@ def resolve_runtime(
         )
     return RuntimeConfig(kind=kind, delay_model=model, omission=policy, max_events=max_events)
 
-
-def scheduler_class(kind: str) -> Any:
-    """The scheduler class registered for one runtime kind (lazy import)."""
-    try:
-        module_name, class_name = RUNTIMES[kind]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown runtime {kind!r}; known: {sorted(RUNTIMES)}"
-        ) from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), class_name)

@@ -1,4 +1,4 @@
-"""The synchronous round engine with rushing delivery.
+"""The one scheduling loop: the paper's rounds on a discrete-event clock.
 
 Round semantics (Section 3.1 of the paper):
 
@@ -10,8 +10,23 @@ Round semantics (Section 3.1 of the paper):
    channel — before choosing the corrupted parties' round-r messages.
 3. All round-r messages are buffered for delivery at round r+1.
 
+The loop expresses that model as timing.  Every message becomes a
+delivery on a seeded :class:`~repro.net.runtime.EventClock` at
+``now + delay``, the delay coming from a
+:class:`~repro.net.runtime.DelayModel`; each round pops every delivery
+at the next occupied instant (or ticks once when nothing is in flight),
+and edges the model *rushes* deliver inside the sending round instead.
+The paper's model is the default timing ``RushDelay(ConstantDelay(1))``
+with no :class:`~repro.net.runtime.OmissionPolicy`: one tick of latency
+on every edge, honest→corrupted edges instant.  Other timings reorder,
+batch and drop deliveries; a round is then one *event batch*.  No wall
+time is ever read, so a run is a pure function of ``(seed, delay model,
+omission policy)``.
+
 The run ends when every honest party's program has returned, or aborts
-with :class:`NetworkError` after ``max_rounds``.
+with :class:`NetworkError` after ``max_rounds`` rounds or ``max_events``
+deliveries (the latter after a flight-recorder dump).  Silent rounds are
+ordinary rounds: a program may wait any number of them.
 
 Two optional degradation hooks extend the clean model:
 
@@ -36,11 +51,16 @@ from ..obs import flightrec as _flightrec
 from ..obs import runtime as _obs
 from ..obs.metrics import payload_size
 from .adversary import Adversary
-from .message import Draft, Inbox, Message, RoundRecord
+from .message import BROADCAST, Draft, Inbox, Message, RoundRecord
 from .party import PartyContext, PartyState
+from .runtime import DelayModel, EventClock, OmissionPolicy, RushDelay
 from .transcript import Execution
 
 DEFAULT_MAX_ROUNDS = 10_000
+
+#: Hard ceiling on processed deliveries (the event-count analogue of
+#: ``max_rounds``); generous — a smoke-scale run is a few thousand events.
+DEFAULT_MAX_EVENTS = 1_000_000
 
 ProgramFactory = Callable[[PartyContext, Any], Any]
 
@@ -71,12 +91,12 @@ def bucket_by_recipient(
 class Scheduler:
     """Drives one protocol execution to completion.
 
-    This is the **lockstep runtime** of the :mod:`repro.net.runtime` seam:
-    the registry entry ``"lockstep"`` resolves here, and the discrete-event
-    engine (:class:`repro.net.event.EventScheduler`) subclasses it so both
-    runtimes share party construction, adversary validation, observability
-    hooks, and finalization — the RNG-derivation order in ``__init__`` is
-    part of the determinism contract and must not change.
+    ``runtime_name`` is the label the :mod:`repro.net.runtime` seam
+    records on the returned :class:`Execution`; this class carries
+    ``"lockstep"`` and :class:`repro.net.event.EventScheduler` ``"event"``.
+    Both run this loop — the label only says how the timing was chosen.
+    The RNG-derivation order in ``__init__`` is part of the determinism
+    contract and must not change.
     """
 
     #: Recorded on the returned :class:`Execution` (the runtime seam's tag).
@@ -96,6 +116,9 @@ class Scheduler:
         fault_injector: Any = None,
         timeout_rounds: Optional[int] = None,
         timeout_output: Any = None,
+        delay_model: Optional[DelayModel] = None,
+        omission: Optional[OmissionPolicy] = None,
+        max_events: Optional[int] = None,
     ) -> None:
         if len(inputs) != n:
             raise ProtocolError(f"expected {n} inputs, got {len(inputs)}")
@@ -116,6 +139,9 @@ class Scheduler:
         self.fault_injector = fault_injector
         self.timeout_rounds = timeout_rounds
         self.timeout_output = timeout_output
+        self.delay_model = delay_model if delay_model is not None else RushDelay()
+        self.omission = omission
+        self.max_events = max_events if max_events is not None else DEFAULT_MAX_EVENTS
         self._program_factory = program_factory
 
         self.honest_ids = [i for i in range(1, n + 1) if i not in adversary.corrupted]
@@ -147,6 +173,15 @@ class Scheduler:
             session=session,
         )
 
+        # One latency for every edge and no omission: nothing draws from
+        # an edge, so a round's traffic lands as one mailbox and the clock
+        # needs no per-edge streams — nor a seed drawn from ``rng``, which
+        # the paper's timing leaves untouched.
+        self._fixed_delay = (
+            self.delay_model.fixed_delay if omission is None else None
+        )
+        self._clock_seed = 0 if self._fixed_delay is not None else rng.getrandbits(64)
+
     # -- main loop -------------------------------------------------------------
 
     def run(self) -> Execution:
@@ -166,17 +201,27 @@ class Scheduler:
 
     def _run_rounds(self) -> Execution:
         metrics = _obs.metrics
+        n = self.n
+        everyone = range(1, n + 1)
+        model = self.delay_model
+        omission = self.omission
+        fixed_delay = self._fixed_delay
+        corrupted = self.adversary.corrupted
+        clock = EventClock(self._clock_seed)
+        # The corrupted set is fixed for the run, and with it the rushed
+        # edges: (sender, corrupted recipient) pairs delivered instantly.
+        rushed_edges = frozenset(
+            (s, r) for r in corrupted for s in everyone if model.rushes(s, r, corrupted)
+        )
+        # Broadcast recipients that are not rushed, per sender.
+        broadcast_to: Dict[int, tuple] = {}
         rounds: List[RoundRecord] = []
-        # Messages sent in the previous round, keyed by recipient.
-        pending: Dict[int, List[Message]] = {i: [] for i in range(1, self.n + 1)}
-        # Corrupted parties' inboxes accumulate lazily: adversary-to-adversary
-        # traffic from the previous round plus rushed honest traffic.
-        stale_for_corrupted: Dict[int, List[Message]] = {
-            i: [] for i in self.adversary.corrupted
-        }
+        # The clock carries mailboxes (recipient -> messages in arrival
+        # order); ``inboxes`` is the one that landed this round.
+        inboxes: Dict[int, List[Message]] = {}
 
         round_number = 0
-        started = False
+        events = 0
         timed_out = False
         while True:
             round_number += 1
@@ -189,19 +234,48 @@ class Scheduler:
                     f"protocol did not terminate within {self.max_rounds} rounds"
                 )
 
-            # 1. Honest parties speak.
+            # 1. Deliveries: everything landing at the next occupied
+            #    instant; with nothing in flight the round passes silently.
+            if round_number > 1:
+                step = clock.advance()
+                if step is None:
+                    clock.tick()
+                    inboxes = {}
+                else:
+                    mailboxes = step[1]
+                    inboxes = mailboxes[0]
+                    for mailbox in mailboxes[1:]:
+                        for recipient, messages in mailbox.items():
+                            inboxes.setdefault(recipient, []).extend(messages)
+                    events += sum(map(len, inboxes.values()))
+                    if events > self.max_events:
+                        _flightrec.dump_if_active(
+                            "event-budget",
+                            session=self.session,
+                            batch=round_number,
+                            events=events,
+                            delay_model=self.delay_model.spec(),
+                            unfinished=self._unfinished(),
+                        )
+                        raise NetworkError(
+                            f"runtime processed more than {self.max_events}"
+                            f" deliveries without terminating"
+                        )
+
+            # 2. Honest parties speak (everyone unfinished gets an inbox,
+            #    empty or not — synchronous programs keep their cadence).
             honest_traffic: List[Message] = []
             for i in self.honest_ids:
                 state = self._honest[i]
                 if state.finished:
                     continue
-                if not started:
+                if round_number == 1:
                     drafts = state.start()
                 else:
-                    drafts = state.resume(Inbox(pending[i]))
+                    drafts = state.resume(Inbox(inboxes.get(i)))
                 honest_traffic.extend(draft.stamped(i) for draft in drafts)
 
-            # 1b. Faults strike honest traffic before the adversary sees it:
+            # 2b. Faults strike honest traffic before the adversary sees it:
             #     crashes and drops remove messages, delays shift them to a
             #     later round, corruption rewrites payloads in place.
             if self.fault_injector is not None:
@@ -209,15 +283,22 @@ class Scheduler:
                     round_number, honest_traffic
                 )
 
-            # 2. Rushing: corrupted parties instantly receive this round's
-            #    honest traffic addressed to them (and honest broadcasts).
-            instant_views = bucket_by_recipient(
-                honest_traffic, self.adversary.corrupted
-            )
-            rushed: Dict[int, Inbox] = {
-                i: Inbox(stale_for_corrupted[i] + instant_views[i])
-                for i in self.adversary.corrupted
-            }
+            # 3. Rushing: corrupted parties hear what was delivered to them
+            #    plus, on rushed edges, this very round's honest traffic.
+            rushed: Dict[int, Inbox] = {}
+            instant = bucket_by_recipient(honest_traffic, corrupted) if corrupted else {}
+            for i in corrupted:
+                view = list(inboxes.get(i, ()))
+                for message in instant[i]:
+                    if (message.sender, i) not in rushed_edges:
+                        continue
+                    if omission is not None and omission.omits(
+                        message.sender, i, message, clock.edge_rng(message.sender, i)
+                    ):
+                        self._note_omission(round_number, message, i)
+                        continue
+                    view.append(message)
+                rushed[i] = Inbox(view)
 
             corrupted_outboxes = self.adversary.act(round_number, rushed)
             corrupted_traffic = self._collect_corrupted_traffic(corrupted_outboxes)
@@ -225,59 +306,81 @@ class Scheduler:
             traffic = honest_traffic + corrupted_traffic
             self.adversary.observe(round_number, traffic)
             rounds.append(RoundRecord(round=round_number, messages=traffic))
-            started = True
 
-            self._observe_round(round_number, traffic, honest_traffic, corrupted_traffic)
+            self._observe_round(
+                round_number,
+                traffic,
+                honest_traffic,
+                corrupted_traffic,
+                time=clock.now,
+                events=events,
+            )
 
-            # 3. Buffer everything for next-round delivery.
-            pending = {i: [] for i in range(1, self.n + 1)}
+            # 4. Route every message to its recipients, minus rushed edges.
             delivered = 0
+            arriving: Dict[int, List[Message]] = {i: [] for i in everyone}
             for message in traffic:
-                if message.is_broadcast:
-                    for i in range(1, self.n + 1):
-                        pending[i].append(message)
-                    delivered += self.n
-                else:
-                    if not 1 <= message.recipient <= self.n:
-                        raise ProtocolError(
-                            f"message to unknown party {message.recipient}"
+                sender = message.sender
+                recipient = message.recipient
+                if recipient == BROADCAST:
+                    delivered += n
+                    targets = broadcast_to.get(sender)
+                    if targets is None:
+                        targets = broadcast_to[sender] = tuple(
+                            r for r in everyone if (sender, r) not in rushed_edges
                         )
-                    pending[message.recipient].append(message)
+                    for r in targets:
+                        arriving[r].append(message)
+                elif 1 <= recipient <= n:
                     delivered += 1
+                    if not (rushed_edges and (sender, recipient) in rushed_edges):
+                        arriving[recipient].append(message)
+                else:
+                    raise ProtocolError(f"message to unknown party {recipient}")
+
+            # 5. Put them on the clock: one mailbox when every edge has the
+            #    same latency, else one per edge and message.
+            if fixed_delay is not None:
+                if any(arriving.values()):
+                    clock.schedule(fixed_delay, arriving)
+            else:
+                for recipient, messages in arriving.items():
+                    for message in messages:
+                        sender = message.sender
+                        edge_rng = clock.edge_rng(sender, recipient)
+                        if omission is not None and omission.omits(
+                            sender, recipient, message, edge_rng
+                        ):
+                            self._note_omission(round_number, message, recipient)
+                            delivered -= 1
+                            continue
+                        delay = model.edge_delay(sender, recipient, edge_rng)
+                        clock.schedule(delay, {recipient: [message]})
             if metrics is not None:
                 metrics.inc("net.messages.delivered", delivered)
-            # Corrupted parties already saw this round's honest traffic; only
-            # corrupted-to-corrupted traffic still awaits them next round.
-            stale_for_corrupted = bucket_by_recipient(
-                corrupted_traffic, self.adversary.corrupted
-            )
 
             if all(state.finished for state in self._honest.values()):
                 break
 
         return self._finalize(rounds, timed_out)
 
-    # -- helpers shared by both runtimes ---------------------------------------
+    # -- bookkeeping ---------------------------------------
+
+    def _unfinished(self) -> List[int]:
+        return [i for i, s in self._honest.items() if not s.finished]
 
     def _note_timeout(self, round_number: int) -> None:
         """Record a graceful deadline hit (metrics, trace, flight recorder)."""
         metrics = _obs.metrics
-        tracer = _obs.tracer
-        flight = _obs.flightrec
         if metrics is not None:
             metrics.inc("net.timeouts")
-        if tracer.enabled:
-            tracer.event(
-                "scheduler.timeout",
-                round=round_number,
-                unfinished=[
-                    i for i, s in self._honest.items() if not s.finished
-                ],
+        unfinished = self._unfinished()
+        if _obs.tracer.enabled:
+            _obs.tracer.event(
+                "scheduler.timeout", round=round_number, unfinished=unfinished
             )
+        flight = _obs.flightrec
         if flight is not None:
-            unfinished = [
-                i for i, s in self._honest.items() if not s.finished
-            ]
             flight.push(
                 "scheduler.timeout",
                 round=round_number,
@@ -325,14 +428,13 @@ class Scheduler:
         traffic: Sequence[Message],
         honest_traffic: Sequence[Message],
         corrupted_traffic: Sequence[Message],
-        **extra: Any,
+        time: float,
+        events: int,
     ) -> None:
-        """Fold one round (or event batch) into metrics/trace/flight records.
+        """Fold one round into metrics/trace/flight records.
 
-        ``extra`` fields travel with the flight-recorder summary — the
-        event runtime adds its batch time and delivery count, turning the
-        round summary into an event-batch summary without changing the
-        record kind tooling keys on.
+        ``time`` (the clock instant) and ``events`` (deliveries so far)
+        travel with the trace and flight-recorder round summaries.
         """
         metrics = _obs.metrics
         tracer = _obs.tracer
@@ -360,7 +462,8 @@ class Scheduler:
                 messages=len(traffic),
                 honest=len(honest_traffic),
                 corrupted=len(corrupted_traffic),
-                **extra,
+                time=time,
+                events=events,
             )
         if flight is not None:
             for message in traffic:
@@ -372,7 +475,32 @@ class Scheduler:
                 messages=len(traffic),
                 honest=len(honest_traffic),
                 corrupted=len(corrupted_traffic),
-                **extra,
+                time=time,
+                events=events,
+            )
+
+    def _note_omission(self, round_number: int, message: Message, recipient: int) -> None:
+        metrics = _obs.metrics
+        if metrics is not None:
+            metrics.inc("net.messages.omitted")
+        tracer = _obs.tracer
+        if tracer.enabled:
+            tracer.event(
+                "net.omission",
+                batch=round_number,
+                sender=message.sender,
+                recipient=recipient,
+                tag=message.tag,
+            )
+        flight = _obs.flightrec
+        if flight is not None:
+            flight.push(
+                "omission",
+                batch=round_number,
+                session=self.session,
+                sender=message.sender,
+                recipient=recipient,
+                tag=message.tag,
             )
 
     def _finalize(self, rounds: List[RoundRecord], timed_out: bool) -> Execution:

@@ -50,12 +50,13 @@ class Execution:
     protocol's default output instead of raising :class:`NetworkError`.
     """
     runtime: str = "lockstep"
-    """Which :mod:`repro.net.runtime` engine drove the run.
+    """Which :mod:`repro.net.runtime` label chose the run's timing.
 
-    ``"lockstep"`` for the synchronous round scheduler; ``"event"`` for
-    the discrete-event engine, in which case each :class:`RoundRecord`
-    is one *event batch* (all messages sent at one clock instant) rather
-    than a synchronous round.
+    Both labels run the same event-clock loop.  ``"lockstep"`` is the
+    paper's synchronous rounds; ``"event"`` is the caller's delay model
+    and omission policy, under which each :class:`RoundRecord` is one
+    *event batch* (all deliveries landing at one clock instant) — at the
+    default timing that is exactly a synchronous round.
     """
 
     @property

@@ -2,7 +2,7 @@
 
 Covers the seam itself (selection, run context, validation), the delay and
 omission model vocabulary, the deterministic :class:`EventClock`, the
-event scheduler's progress guards, and — the load-bearing part — the
+scheduler's progress guards, and — the load-bearing part — the
 regression pinning the paper's rushing-attack verdicts when the rushing
 adversary is re-derived as the :class:`RushDelay` delay-model point.
 """
@@ -13,7 +13,6 @@ from repro.adversaries import CommitEchoAdversary, SequentialCopier
 from repro.context import RunContext, use
 from repro.errors import InvalidParameterError, NetworkError
 from repro.net import run_protocol
-from repro.net.event import EventScheduler, IDLE_BATCH_LIMIT
 from repro.net.message import broadcast
 from repro.net.runtime import (
     ConstantDelay,
@@ -30,9 +29,7 @@ from repro.net.runtime import (
     delay_model_from_spec,
     omission_from_spec,
     resolve_runtime,
-    scheduler_class,
 )
-from repro.net.scheduler import Scheduler
 from repro.protocols import GennaroBroadcast, NaiveCommitReveal, SequentialBroadcast
 
 
@@ -67,6 +64,23 @@ class NeverTerminates:
     def program(self, ctx, value):
         while True:
             yield []
+
+
+class SilentThenEcho:
+    """Silent for ``SILENT_ROUNDS`` rounds, then returns its own input."""
+
+    SILENT_ROUNDS = 12
+
+    def __init__(self):
+        self.n = 2
+
+    def setup(self, rng):
+        return None
+
+    def program(self, ctx, value):
+        for _ in range(self.SILENT_ROUNDS):
+            yield []
+        return value
 
 
 class ChattyForever:
@@ -228,8 +242,6 @@ class TestResolveRuntime:
     def test_default_is_lockstep(self):
         config = resolve_runtime()
         assert config.kind == "lockstep"
-        assert scheduler_class("lockstep") is Scheduler
-        assert scheduler_class("event") is EventScheduler
 
     def test_env_variable_selects_runtime(self, monkeypatch):
         monkeypatch.setenv("REPRO_RUNTIME", "event")
@@ -301,21 +313,22 @@ class TestEventSchedulerEquivalence:
 
 class TestEventSchedulerGuards:
     def test_silent_stall_raises_without_timeout(self):
-        # A protocol that never sends can never receive an event: the
-        # queue-drained guard must fire long before max_rounds.
+        # A protocol that never returns runs silent rounds until the
+        # max_rounds guard fires.
         with pytest.raises(NetworkError):
             run_protocol(
                 NeverTerminates(), [None, None], seed=1,
-                runtime="event", max_rounds=10_000,
+                runtime="event", max_rounds=30,
             )
 
     def test_silent_stall_finalizes_under_timeout(self):
         execution = run_protocol(
             NeverTerminates(), [None, None], seed=1,
-            runtime="event", timeout_rounds=IDLE_BATCH_LIMIT + 5,
+            runtime="event", timeout_rounds=13,
             timeout_output="gave-up",
         )
         assert execution.timed_out
+        assert execution.round_count == 13
         assert execution.outputs == {1: "gave-up", 2: "gave-up"}
 
     def test_event_budget_guard(self):
@@ -333,6 +346,26 @@ class TestEventSchedulerGuards:
             timeout_rounds=6, timeout_output=None,
         )
         assert execution.outputs[2] == (None, 6)
+
+
+class TestSilentRounds:
+    """Silent rounds are ordinary rounds under both runtime labels.
+
+    A program may wait any number of rounds without sending; the run only
+    ends when it returns, at ``timeout_rounds`` or at ``max_rounds``.
+    """
+
+    @pytest.mark.parametrize("runtime", ["lockstep", "event"])
+    @pytest.mark.parametrize("timeout_rounds", [None, 20])
+    def test_twelve_silent_rounds_then_output(self, runtime, timeout_rounds):
+        execution = run_protocol(
+            SilentThenEcho(), [3, 4], seed=1, runtime=runtime,
+            timeout_rounds=timeout_rounds, timeout_output="gave-up",
+        )
+        assert not execution.timed_out
+        assert execution.outputs == {1: 3, 2: 4}
+        assert execution.round_count == SilentThenEcho.SILENT_ROUNDS + 1
+        assert execution.runtime == runtime
 
 
 class TestRushDelayRegression:
